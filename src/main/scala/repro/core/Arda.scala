@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{classic, DataFrame}
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 import repro.fs.FeatureSelector
@@ -50,6 +51,18 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     val c = df.cache(); c.count(); cached ::= c; c
   }
 
+  /** Eager checkpoints of the coreset folds: the cached batch frames may
+    * recompute from them, so they live until close().
+    */
+  private var checkpoints = List.empty[DataFrame]
+
+  /** Free the blocks behind an eager localCheckpoint. `unpersist` on the
+    * frame only reaches the cache manager, not the checkpointed RDD.
+    */
+  private def release(checkpoint: DataFrame): Unit =
+    checkpoint.asInstanceOf[classic.Dataset[_]].queryExecution.logical
+      .collect { case r: LogicalRDD => r.rdd.unpersist(blocking = true) }
+
   /** Full base table, preprocessed. */
   lazy val (baseFull, baseFeats): (DataFrame, Seq[String]) = {
     val (df, feats) = Preprocess.prepare(taskDef.base, taskDef.baseFeatureCols, cfg.seed)
@@ -79,15 +92,21 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   lazy val batches: Seq[Seq[JoinPlan.PlannedJoin]] =
     JoinPlan.group(filtered, cfg.grouping, cfg.effectiveBudget)
 
-  /** Fold many candidate joins, truncating lineage every few joins —
-    * chaining 100+ left joins in one logical plan makes Catalyst analysis
-    * quadratic, so we eagerly localCheckpoint periodically.
+  /** Fold many candidate joins onto `start`, truncating lineage every few
+    * joins — chaining 100+ left joins in one logical plan makes Catalyst
+    * analysis quadratic, so we eagerly localCheckpoint periodically.
+    * Returns the folded frame and the checkpoints, which the caller frees
+    * once nothing can recompute from them.
     */
-  private def foldJoins(start: DataFrame, cands: Seq[CandidateJoin]): DataFrame =
-    cands.zipWithIndex.foldLeft(start) { case (d, (c, i)) =>
-      val j = JoinExec.join(d, c, cfg.softJoin, cfg.softTolerance, cfg.seed)
-      if ((i + 1) % 8 == 0) j.localCheckpoint(true) else j
+  private def foldJoins(start: DataFrame, preps: Seq[JoinExec.PreparedCandidate]): (DataFrame, Seq[DataFrame]) = {
+    val grans = JoinExec.baseGranularities(start, preps)
+    val checkpoints = Seq.newBuilder[DataFrame]
+    val joined = preps.zipWithIndex.foldLeft(start) { case (d, (p, i)) =>
+      val j = JoinExec.join(d, p, grans, cfg.softJoin, cfg.softTolerance, cfg.seed)
+      if ((i + 1) % 8 == 0) { val c = j.localCheckpoint(true); checkpoints += c; c } else j
     }
+    (joined, checkpoints.result())
+  }
 
   /** Each batch joined against the coreset and preprocessed: (batch,
     * frame keyed by id, new feature columns). Cached once, shared by all
@@ -96,7 +115,8 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   lazy val batchFrames: Seq[(Seq[JoinPlan.PlannedJoin], DataFrame, Seq[String])] = {
     val (coreDf, _) = coresetPrepared
     batches.map { batch =>
-      val joined = foldJoins(coreDf, batch.map(_.cand))
+      val (joined, cps) = foldJoins(coreDf, batch.map(_.prepared))
+      checkpoints ++= cps
       val newRaw = joined.columns.filterNot(coreDf.columns.contains).toSeq
       val (prepared, newFeats) = Preprocess.prepare(joined, newRaw, cfg.seed)
       (batch, cache(prepared.select((coreDf.columns.toSeq ++ newFeats).distinct.map(col): _*)), newFeats)
@@ -154,12 +174,19 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     val augScore =
       if (kept.isEmpty) baselineScore
       else {
-        val cands = filtered.map(_.cand).filter(c => keptCands.contains(c.name))
-        val joined = foldJoins(baseFull, cands)
-        val rawKept = kept.map(rawOf).distinct.filter(joined.columns.contains)
-        val (prepared, newFeats) = Preprocess.prepare(joined, rawKept, cfg.seed)
-        Estimator.autoScore(prepared, (baseFeats ++ newFeats).distinct,
-                            taskDef.target, taskDef.task, cfg.seed)
+        val preps = filtered.map(_.prepared).filter(p => keptCands.contains(p.cand.name))
+        val (joined, cps) = foldJoins(baseFull, preps)
+        // Preprocess and autoScore read the fold many times, so run it once.
+        // An eager localCheckpoint runs it as a normal adaptive query and so
+        // keeps the partition layout that split's rand(seed) and RF bagging
+        // see; .cache() does not.
+        val full = joined.localCheckpoint(true)
+        try {
+          val rawKept = kept.map(rawOf).distinct.filter(full.columns.contains)
+          val (prepared, newFeats) = Preprocess.prepare(full, rawKept, cfg.seed)
+          Estimator.autoScore(prepared, (baseFeats ++ newFeats).distinct,
+                              taskDef.target, taskDef.task, cfg.seed)
+        } finally (full +: cps).foreach(release)
       }
 
     ArdaResult(
@@ -178,7 +205,9 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   }
 
   def close(): Unit = {
-    cached.foreach(_.unpersist(blocking = false))
+    cached.foreach(_.unpersist(blocking = true))
+    checkpoints.foreach(release)
     cached = Nil
+    checkpoints = Nil
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -28,22 +28,108 @@ object JoinExec {
 
   private val TimeGrans = Seq(86400.0, 3600.0, 60.0, 1.0)
 
+  /** Per time granularity, the largest remainder of a key modulo it. */
+  private def granularityAggs(key: Column): Seq[Column] =
+    TimeGrans.map(g => max(abs(pmod(key.cast(DoubleType), lit(g)))))
+
+  /** The coarsest granularity whose remainder (read from `r` at `from`) is 0. */
+  private def granularityOf(r: Row, from: Int): Option[Double] =
+    TimeGrans.indices
+      .find(i => !r.isNullAt(from + i) && r.getDouble(from + i) < 1e-6)
+      .map(TimeGrans)
+
   /** Infer the resolution of a numeric (epoch-seconds) key: the coarsest
     * granularity from day/hour/minute/second that all values align to, or
     * None for keys that are not time-like multiples of a second.
     */
-  def inferGranularity(df: DataFrame, keyCol: String): Option[Double] = {
-    val c = col(keyCol).cast(DoubleType)
-    val aggs = TimeGrans.map(g => max(abs(pmod(c, lit(g)))).as(s"g$g"))
-    val row = df
-      .filter(c.isNotNull)
-      .agg(aggs.head, aggs.tail: _*)
-      .collect()
-    row.headOption.flatMap { r =>
-      TimeGrans.zipWithIndex
-        .find { case (_, i) => !r.isNullAt(i) && r.getDouble(i) < 1e-6 }
-        .map(_._1)
+  def inferGranularity(df: DataFrame, keyCol: String): Option[Double] =
+    granularities(df, Seq(keyCol)).get(keyCol)
+
+  /** [[inferGranularity]] of several columns of `df` in one query; columns
+    * that are not time-like are absent from the map.
+    */
+  private def granularities(df: DataFrame, keyCols: Seq[String]): Map[String, Double] =
+    if (keyCols.isEmpty) Map.empty
+    else {
+      val aggs = keyCols.flatMap(c => granularityAggs(col(c)))
+      val r = df.agg(aggs.head, aggs.tail: _*).head()
+      keyCols.zipWithIndex.flatMap { case (c, i) =>
+        granularityOf(r, i * TimeGrans.size).map(c -> _)
+      }.toMap
     }
+
+  /** The granularity of every soft base column `preps` join on, computed
+    * once at the start of a fold. LEFT joins keep the left side's rows and
+    * columns, so it holds for every join of the fold.
+    */
+  def baseGranularities(left: DataFrame, preps: Seq[PreparedCandidate]): Map[String, Double] =
+    granularities(left, preps.flatMap(_.cand.keys.filter(_.kind == KeyKind.Soft).map(_.baseCol)).distinct)
+
+  /** A candidate prepared once (§4): its foreign table with payload columns
+    * renamed `<candidate>__<column>` (a lazy plan, not a cache) and the
+    * per-table facts that planning and every join of it read.
+    *
+    * @param rows         foreign rows
+    * @param distinctKeys distinct key tuples; nulls count as a value, as in `distinct()`
+    * @param duplicated   some key tuple occurs more than once (one-to-many)
+    * @param granularity  [[inferGranularity]] of the soft key component, if any
+    * @param matchedKeys  how many of the base key tuples given to [[prepare]]
+    *                     occur among this table's hard-key tuples
+    */
+  final case class PreparedCandidate(
+      cand: CandidateJoin,
+      foreign: DataFrame,
+      payload: Seq[String],
+      rows: Long,
+      distinctKeys: Long,
+      duplicated: Boolean,
+      granularity: Option[Double],
+      matchedKeys: Option[Long],
+  )
+
+  /** Prepare `cand` with one aggregate query over its distinct key tuples.
+    * When `baseKeys` (distinct base tuples of the hard key components,
+    * named by their base columns) is given, the same query counts how many
+    * of them the table matches: a semi-join, so null keys never match.
+    */
+  def prepare(cand: CandidateJoin, baseKeys: Option[DataFrame] = None): PreparedCandidate = {
+    val soft = cand.keys.indices.filter(cand.keys(_).kind == KeyKind.Soft)
+    val hard = cand.keys.indices.filterNot(soft.contains)
+    require(soft.size <= 1, s"at most one soft key component supported, got ${soft.size}")
+    val keyCols = cand.keys.map(_.foreignCol)
+    val payloadCols = cand.table.columns.filterNot(keyCols.contains).toSeq
+    val foreign = payloadCols.foldLeft(cand.table) { (d, c) =>
+      d.withColumnRenamed(c, prefixed(cand.name, c))
+    }
+
+    def k(i: Int) = col(s"__k$i")
+    val perKey = cand.table
+      .select(keyCols.zipWithIndex.map { case (c, i) => col(c).as(s"__k$i") }: _*)
+      .groupBy(keyCols.indices.map(k): _*)
+      .agg(count(lit(1)).as("__n"))
+    // Each key tuple meets at most one distinct base tuple, so the join
+    // keeps one row per key tuple.
+    val (facts, matched) = baseKeys match {
+      case None => (perKey, Nil)
+      case Some(b) =>
+        val bk = b.select(hard.map(i => col(cand.keys(i).baseCol).as(s"__b$i")) :+ lit(true).as("__in"): _*)
+        val joined = perKey.join(bk, hard.map(i => k(i) === col(s"__b$i")).reduce(_ && _), "left")
+        val m =
+          if (soft.isEmpty) count(col("__in"))
+          else count_distinct(when(col("__in"), struct(hard.map(k): _*)))
+        (joined, Seq(m))
+    }
+    val aggs = Seq(sum(col("__n")), count(lit(1)), max(col("__n"))) ++
+      soft.flatMap(i => granularityAggs(k(i))) ++ matched
+    val r = facts.agg(aggs.head, aggs.tail: _*).head()
+    PreparedCandidate(
+      cand, foreign, payloadCols.map(prefixed(cand.name, _)),
+      rows = if (r.isNullAt(0)) 0L else r.getLong(0),
+      distinctKeys = r.getLong(1),
+      duplicated = !r.isNullAt(2) && r.getLong(2) > 1,
+      granularity = if (soft.isEmpty) None else granularityOf(r, 3),
+      matchedKeys = if (matched.isEmpty) None else Some(r.getLong(r.length - 1)),
+    )
   }
 
   /** Aggregate `df` grouped by `keyCols`: numeric columns → avg, others →
@@ -60,76 +146,61 @@ object JoinExec {
     else df.groupBy(keyCols.map(col): _*).agg(aggs.head, aggs.tail: _*)
   }
 
-  /** True iff `df` has at least one duplicated key combination. */
-  def hasDuplicateKeys(df: DataFrame, keyCols: Seq[String]): Boolean = {
-    df.groupBy(keyCols.map(col): _*).count().filter(col("count") > 1).limit(1).count() > 0
-  }
-
-  /** Execute one candidate join against `left`, returning `left` plus the
-    * candidate's payload columns prefixed with `<name>__`.
+  /** Execute one prepared candidate join against `left`, returning `left`
+    * plus the candidate's payload columns. `baseGrans` holds the
+    * granularity of `left`'s soft key columns ([[baseGranularities]]).
+    * Builds the plan only: it launches no Spark job.
     */
-  def join(left: DataFrame, cand: CandidateJoin,
+  def join(left: DataFrame, prep: PreparedCandidate, baseGrans: Map[String, Double],
            method: SoftJoinMethod = SoftJoinMethod.TwoWayNearestNeighbour,
            tolerance: Option[Double] = None,
            seed: Long = 11L): DataFrame = {
-    val hardKeys = cand.keys.filter(_.kind == KeyKind.Hard)
-    val softKeys = cand.keys.filter(_.kind == KeyKind.Soft)
-    require(softKeys.size <= 1, s"at most one soft key component supported, got ${softKeys.size}")
-
-    // Rename payload columns up front so nothing collides with `left`.
-    val keyCols = cand.keys.map(_.foreignCol)
-    val payloadCols = cand.table.columns.filterNot(keyCols.contains).toSeq
-    val foreign0 = payloadCols.foldLeft(cand.table) { (d, c) =>
-      d.withColumnRenamed(c, prefixed(cand.name, c))
-    }
-    val payload = payloadCols.map(prefixed(cand.name, _))
-
-    softKeys.headOption match {
+    val hardKeys = prep.cand.keys.filter(_.kind == KeyKind.Hard)
+    prep.cand.keys.find(_.kind == KeyKind.Soft) match {
       case None =>
-        hardJoin(left, foreign0, hardKeys, payload)
+        // One-to-many / many-to-many → pre-aggregate on the join keys (§4).
+        val keyCols = hardKeys.map(_.foreignCol)
+        val f = if (prep.duplicated) aggregateByKeys(prep.foreign, keyCols) else prep.foreign
+        hardJoin(left, f, hardKeys, prep.payload)
       case Some(soft) =>
-        softJoin(left, foreign0, hardKeys, soft, payload, method, tolerance, seed)
+        softJoin(left, prep, hardKeys, soft, baseGrans.get(soft.baseCol), method, tolerance, seed)
     }
   }
 
+  /** LEFT join on exactly matching keys; `foreign` is unique on them. */
   private def hardJoin(left: DataFrame, foreign: DataFrame,
                        keys: Seq[KeyPair], payload: Seq[String]): DataFrame = {
-    val keyCols = keys.map(_.foreignCol)
-    // One-to-many / many-to-many → pre-aggregate on the join keys (§4).
-    val f = if (hasDuplicateKeys(foreign, keyCols)) aggregateByKeys(foreign, keyCols) else foreign
-    val cond = keys.map(k => left(k.baseCol) === f(k.foreignCol)).reduce(_ && _)
-    val joined = left.join(f, cond, "left")
-    joined.select(left.columns.map(left(_)) ++ payload.map(f(_)): _*)
+    val cond = keys.map(k => left(k.baseCol) === foreign(k.foreignCol)).reduce(_ && _)
+    val joined = left.join(foreign, cond, "left")
+    joined.select(left.columns.map(left(_)) ++ payload.map(foreign(_)): _*)
   }
 
   /** Soft (as-of) join on a single numeric soft key, with optional hard
     * key components forming the window partition.
     */
-  private def softJoin(left: DataFrame, foreign0: DataFrame,
-                       hardKeys: Seq[KeyPair], soft: KeyPair,
-                       payload: Seq[String], method: SoftJoinMethod,
+  private def softJoin(left: DataFrame, prep: PreparedCandidate,
+                       hardKeys: Seq[KeyPair], soft: KeyPair, baseGran: Option[Double],
+                       method: SoftJoinMethod,
                        tolerance: Option[Double], seed: Long): DataFrame = {
-    // --- time resampling (§4): align the foreign key to the base key's
-    // granularity when the foreign side is finer.
-    val baseGran    = inferGranularity(left, soft.baseCol)
-    val foreignGran = inferGranularity(foreign0, soft.foreignCol)
-    val resampled = (baseGran, foreignGran) match {
+    val fKeys = hardKeys.map(_.foreignCol) :+ soft.foreignCol
+    // Time resampling (§4): align the foreign key to the base key's
+    // granularity when the foreign side is finer; either way the foreign
+    // side ends up unique on its keys.
+    val foreign = (baseGran, prep.granularity) match {
       case (Some(bg), Some(fg)) if fg < bg && method != SoftJoinMethod.HardUnmodified =>
-        val truncated = foreign0.withColumn(
+        val truncated = prep.foreign.withColumn(
           soft.foreignCol,
           (floor(col(soft.foreignCol).cast(DoubleType) / bg) * bg).cast(DoubleType))
-        aggregateByKeys(truncated, hardKeys.map(_.foreignCol) :+ soft.foreignCol)
-      case _ => foreign0
+        aggregateByKeys(truncated, fKeys)
+      case _ =>
+        if (prep.duplicated) aggregateByKeys(prep.foreign, fKeys) else prep.foreign
     }
-    val fKeys = hardKeys.map(_.foreignCol) :+ soft.foreignCol
-    val foreign = if (hasDuplicateKeys(resampled, fKeys)) aggregateByKeys(resampled, fKeys) else resampled
 
     method match {
       case SoftJoinMethod.HardUnmodified | SoftJoinMethod.HardWithResampling =>
-        hardJoin(left, foreign,
-                 hardKeys :+ soft, payload)
+        hardJoin(left, foreign, hardKeys :+ soft, prep.payload)
       case nn =>
-        asOfJoin(left, foreign, hardKeys, soft, payload,
+        asOfJoin(left, foreign, hardKeys, soft, prep.payload,
                  twoWay = nn == SoftJoinMethod.TwoWayNearestNeighbour, tolerance, seed)
     }
   }

@@ -9,9 +9,12 @@ import org.apache.spark.sql.functions._
   */
 object JoinPlan {
 
-  /** A candidate annotated with planning statistics. */
-  final case class PlannedJoin(cand: CandidateJoin, score: Double,
-                               nFeatures: Int, tupleRatio: Double)
+  /** A prepared candidate annotated with planning statistics. */
+  final case class PlannedJoin(prepared: JoinExec.PreparedCandidate, score: Double,
+                               tupleRatio: Double) {
+    def cand: CandidateJoin = prepared.cand
+    def nFeatures: Int = prepared.payload.size
+  }
 
   /** Multiple-option keys (§4): ARDA joins on each key option separately,
     * so expand every alternative into its own candidate.
@@ -23,43 +26,40 @@ object JoinPlan {
       }
     }
 
-  /** Intersection score: the fraction of distinct base hard-key tuples
-    * that appear in the foreign table — computed with a distributed
-    * semi-join. Pure soft-key candidates score 1.0 (a nearest-neighbour
-    * join always matches something); the discovery system's own score, if
-    * present, takes precedence (§4 "Table grouping").
-    */
-  def intersectionScore(base: DataFrame, cand: CandidateJoin): Double = {
-    val hard = cand.keys.filter(_.kind == KeyKind.Hard)
-    if (hard.isEmpty) 1.0
-    else {
-      val b = base.select(hard.map(k => col(k.baseCol)): _*).distinct()
-      val f = cand.table.select(hard.map(k => col(k.foreignCol).as(k.baseCol)): _*).distinct()
-      val total = b.count()
-      if (total == 0) 0.0
-      else b.join(f, hard.map(_.baseCol), "left_semi").count().toDouble / total
-    }
-  }
-
-  /** Tuple Ratio (§7.3 / [42]): n_S / n_R with n_S = base-table rows and
+  /** Prepare and score all candidates against the base table.
+    *
+    * Intersection score (§4 "Table grouping"): the fraction of distinct
+    * base hard-key tuples that appear in the foreign table, a distributed
+    * semi-join. The base's distinct tuples are computed once per hard-key
+    * signature, cached while planning runs, and matched inside each
+    * candidate's preparation query. Pure soft-key candidates score 1.0 (a
+    * nearest-neighbour join always matches something); the discovery
+    * system's own score, if present, takes precedence.
+    *
+    * Tuple Ratio (§7.3 / [42]): n_S / n_R with n_S = base-table rows and
     * n_R = the size of the foreign-key domain in the foreign table.
     */
-  def tupleRatio(baseRows: Long, cand: CandidateJoin): Double = {
-    val nR = cand.table
-      .select(cand.keys.map(k => col(k.foreignCol)): _*)
-      .distinct()
-      .count()
-    if (nR == 0) Double.PositiveInfinity else baseRows.toDouble / nR
-  }
-
-  /** Score and annotate all candidates against the base table. */
   def plan(base: DataFrame, cands: Seq[CandidateJoin]): Seq[PlannedJoin] = {
     val baseRows = base.count()
-    expandAlternatives(cands).map { c =>
-      val score = c.discoveryScore.getOrElse(intersectionScore(base, c))
-      val nFeat = c.table.columns.count(col => !c.keys.exists(_.foreignCol == col))
-      PlannedJoin(c, score, nFeat, tupleRatio(baseRows, c))
+    val expanded = expandAlternatives(cands)
+    def signature(c: CandidateJoin) = c.keys.filter(_.kind == KeyKind.Hard).map(_.baseCol)
+    val sigs = expanded.filter(_.discoveryScore.isEmpty).map(signature).filter(_.nonEmpty).distinct
+    val baseKeys = sigs.map { sig =>
+      val keys = base.select(sig.map(col): _*).distinct().cache()
+      sig -> (keys, keys.count())
+    }.toMap
+    try expanded.map { c =>
+      val keys = if (c.discoveryScore.isEmpty) baseKeys.get(signature(c)) else None
+      val p = JoinExec.prepare(c, keys.map(_._1))
+      val score = c.discoveryScore.getOrElse(keys match {
+        case None             => 1.0
+        case Some((_, 0L))    => 0.0
+        case Some((_, total)) => p.matchedKeys.get.toDouble / total
+      })
+      val tr = if (p.distinctKeys == 0) Double.PositiveInfinity else baseRows.toDouble / p.distinctKeys
+      PlannedJoin(p, score, tr)
     }
+    finally baseKeys.values.foreach(_._1.unpersist(blocking = true))
   }
 
   /** TR-rule prefilter: drop tables whose tuple ratio is at least τ (the

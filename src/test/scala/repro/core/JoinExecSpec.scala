@@ -1,9 +1,22 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
+object JoinExecSpec {
+
+  /** Prepare `cand` and join it onto `left`, as the first join of a fold. */
+  def joinOne(left: DataFrame, cand: CandidateJoin,
+              method: SoftJoinMethod = SoftJoinMethod.TwoWayNearestNeighbour,
+              tolerance: Option[Double] = None): DataFrame = {
+    val p = JoinExec.prepare(cand)
+    JoinExec.join(left, p, JoinExec.baseGranularities(left, Seq(p)), method, tolerance)
+  }
+}
+
 class JoinExecSpec extends SparkSpec {
+  import JoinExecSpec.joinOne
   import spark.implicits._
 
   test("inferGranularity detects day-resolution keys") {
@@ -43,14 +56,15 @@ class JoinExecSpec extends SparkSpec {
   }
 
   test("hasDuplicateKeys") {
-    assert(JoinExec.hasDuplicateKeys(Seq((1, 1), (1, 2)).toDF("k", "v"), Seq("k")))
-    assert(!JoinExec.hasDuplicateKeys(Seq((1, 1), (2, 2)).toDF("k", "v"), Seq("k")))
+    def dup(df: DataFrame) = JoinExec.prepare(CandidateJoin("t", df, Seq(KeyPair("k", "k", KeyKind.Hard)))).duplicated
+    assert(dup(Seq((1, 1), (1, 2)).toDF("k", "v")))
+    assert(!dup(Seq((1, 1), (2, 2)).toDF("k", "v")))
   }
 
   test("hard join is a LEFT join preserving all base rows") {
     val base = Seq((1L, 10L), (2L, 20L), (3L, 99L)).toDF("id", "k")
     val f = Seq((10L, 1.0), (20L, 2.0)).toDF("fk", "v")
-    val out = JoinExec.join(base, CandidateJoin("t", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
+    val out = joinOne(base, CandidateJoin("t", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
     assert(out.count() == 3)
     assert(out.columns.toSet == Set("id", "k", "t__v"))
     val m = out.collect().map(r => r.getLong(0) -> Option(r.get(2))).toMap
@@ -60,7 +74,7 @@ class JoinExecSpec extends SparkSpec {
   test("hard left join matches DuckDB left join") {
     val base = Seq((1L, 10L), (2L, 20L), (3L, 99L)).toDF("id", "k")
     val f = Seq((10L, 1.0), (20L, 2.0)).toDF("fk", "v")
-    val out = JoinExec.join(base, CandidateJoin("t", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
+    val out = joinOne(base, CandidateJoin("t", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
       .select(col("id").cast("long").as("id"), col("t__v").cast("double").as("t__v"))
     Oracle.assertEquivalent(out,
       "SELECT CAST(b.id AS BIGINT) AS id, CAST(f.v AS DOUBLE) AS t__v " +
@@ -71,7 +85,7 @@ class JoinExecSpec extends SparkSpec {
   test("one-to-many foreign rows are pre-aggregated, not duplicated") {
     val base = Seq((1L, 10L), (2L, 20L)).toDF("id", "k")
     val f = Seq((10L, 1.0), (10L, 3.0), (20L, 5.0)).toDF("fk", "v")
-    val out = JoinExec.join(base, CandidateJoin("t", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
+    val out = joinOne(base, CandidateJoin("t", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
     assert(out.count() == 2)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
     assert(m(1L) == 2.0 && m(2L) == 5.0)
@@ -80,7 +94,7 @@ class JoinExecSpec extends SparkSpec {
   test("composite hard key join") {
     val base = Seq((1L, 1L, 1L), (2L, 1L, 2L)).toDF("id", "k1", "k2")
     val f = Seq((1L, 1L, 7.0), (1L, 2L, 9.0)).toDF("a", "b", "v")
-    val out = JoinExec.join(base, CandidateJoin("t", f,
+    val out = joinOne(base, CandidateJoin("t", f,
       Seq(KeyPair("k1", "a", KeyKind.Hard), KeyPair("k2", "b", KeyKind.Hard))))
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(3)).toMap
     assert(m(1L) == 7.0 && m(2L) == 9.0)
@@ -89,7 +103,7 @@ class JoinExecSpec extends SparkSpec {
   test("soft NN join picks the nearest foreign key") {
     val base = Seq((1L, 10.0), (2L, 26.0)).toDF("id", "t")
     val f = Seq((9.0, 100.0), (20.0, 200.0), (30.0, 300.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
     assert(m(1L) == 100.0) // 10 closest to 9
@@ -99,7 +113,7 @@ class JoinExecSpec extends SparkSpec {
   test("soft NN join exact match has distance zero") {
     val base = Seq((1L, 20.0)).toDF("id", "t")
     val f = Seq((19.0, 1.0), (20.0, 2.0), (21.0, 3.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
     assert(out.head.getDouble(2) == 2.0)
   }
@@ -107,7 +121,7 @@ class JoinExecSpec extends SparkSpec {
   test("soft NN join respects the tolerance threshold") {
     val base = Seq((1L, 10.0), (2L, 100.0)).toDF("id", "t")
     val f = Seq((12.0, 7.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour, tolerance = Some(5.0))
     val m = out.collect().map(r => r.getLong(0) -> Option(r.get(2))).toMap
     assert(m(1L).contains(7.0))
@@ -117,7 +131,7 @@ class JoinExecSpec extends SparkSpec {
   test("two-way NN join interpolates linearly between bracketing rows") {
     val base = Seq((1L, 15.0)).toDF("id", "t")
     val f = Seq((10.0, 100.0), (20.0, 200.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
     // x=15 ⇒ λ = (20−15)/(20−10) = 0.5 ⇒ 0.5·100 + 0.5·200 = 150
     assert(math.abs(out.head.getDouble(2) - 150.0) < 1e-9)
@@ -126,7 +140,7 @@ class JoinExecSpec extends SparkSpec {
   test("two-way NN join weights the nearer bracketing row more") {
     val base = Seq((1L, 12.0)).toDF("id", "t")
     val f = Seq((10.0, 100.0), (20.0, 200.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
     // λ = (20−12)/10 = 0.8 ⇒ 0.8·100 + 0.2·200 = 120
     assert(math.abs(out.head.getDouble(2) - 120.0) < 1e-9)
@@ -135,7 +149,7 @@ class JoinExecSpec extends SparkSpec {
   test("two-way NN join falls back to the single available side") {
     val base = Seq((1L, 5.0), (2L, 25.0)).toDF("id", "t")
     val f = Seq((10.0, 100.0), (20.0, 200.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
     assert(m(1L) == 100.0) // only a next row exists
@@ -145,7 +159,7 @@ class JoinExecSpec extends SparkSpec {
   test("two-way NN join picks one of the bracketing categorical values") {
     val base = Seq((1L, 15.0)).toDF("id", "t")
     val f = Seq((10.0, "lo"), (20.0, "hi")).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
     assert(Set("lo", "hi").contains(out.head.getString(2)))
   }
@@ -156,7 +170,7 @@ class JoinExecSpec extends SparkSpec {
     // hourly foreign rows within day 10 average to 2.0; day 11 to 6.0
     val f = Seq((day * 10, 1.0), (day * 10 + 3600, 3.0),
                 (day * 11 + 3600, 5.0), (day * 11 + 7200, 7.0)).toDF("ts", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
                             SoftJoinMethod.HardWithResampling)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
     assert(m(1L) == 2.0 && m(2L) == 6.0)
@@ -166,7 +180,7 @@ class JoinExecSpec extends SparkSpec {
     val day = 86400.0
     val base = Seq((1L, day * 10)).toDF("id", "ts")
     val f = Seq((day * 10 + 3600, 3.0)).toDF("ts", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
                             SoftJoinMethod.HardUnmodified)
     assert(out.head.isNullAt(2))
   }
@@ -175,7 +189,7 @@ class JoinExecSpec extends SparkSpec {
     val day = 86400.0
     val base = Seq((1L, day * 10)).toDF("id", "ts")
     val f = Seq((day * 10, 1.0), (day * 10 + 3600, 3.0)).toDF("ts", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
     assert(out.head.getDouble(2) == 2.0) // aggregated day value, not one hour's
   }
@@ -183,7 +197,7 @@ class JoinExecSpec extends SparkSpec {
   test("mixed composite key: hard component partitions the soft match") {
     val base = Seq((1L, 1L, 10.0), (2L, 2L, 10.0)).toDF("id", "g", "t")
     val f = Seq((1L, 11.0, 100.0), (2L, 9.0, 200.0)).toDF("g", "ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f,
+    val out = joinOne(base, CandidateJoin("w", f,
       Seq(KeyPair("g", "g", KeyKind.Hard), KeyPair("t", "ft", KeyKind.Soft))),
       SoftJoinMethod.NearestNeighbour)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(3)).toMap
@@ -193,7 +207,7 @@ class JoinExecSpec extends SparkSpec {
   test("soft join preserves all base rows and columns") {
     val base = Seq((1L, 5.0, "x"), (2L, 7.0, "y")).toDF("id", "t", "extra")
     val f = Seq((6.0, 1.0)).toDF("ft", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+    val out = joinOne(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
     assert(out.count() == 2)
     assert(out.columns.toSeq == Seq("id", "t", "extra", "w__v"))
@@ -202,7 +216,7 @@ class JoinExecSpec extends SparkSpec {
   test("payload columns are prefixed with the candidate name") {
     val base = Seq((1L, 10L)).toDF("id", "k")
     val f = Seq((10L, 1.0, 2.0)).toDF("fk", "a", "b")
-    val out = JoinExec.join(base, CandidateJoin("tbl", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
+    val out = joinOne(base, CandidateJoin("tbl", f, Seq(KeyPair("k", "fk", KeyKind.Hard))))
     assert(out.columns.toSet == Set("id", "k", "tbl__a", "tbl__b"))
   }
 }

@@ -14,22 +14,20 @@ class JoinPlanSpec extends SparkSpec {
   test("intersection score counts matched distinct base keys") {
     val base = Seq(1L, 2L, 3L, 4L).toDF("k")
     val f = Seq(1L, 2L, 9L).toDF("fk")
-    assert(JoinPlan.intersectionScore(base, cand("t", f)) == 0.5)
+    assert(JoinPlan.plan(base, Seq(cand("t", f))).head.score == 0.5)
   }
 
   test("intersection score is computed over distinct keys") {
     val base = Seq(1L, 1L, 1L, 2L).toDF("k")
     val f = Seq(1L).toDF("fk")
-    assert(JoinPlan.intersectionScore(base, cand("t", f)) == 0.5)
+    assert(JoinPlan.plan(base, Seq(cand("t", f))).head.score == 0.5)
   }
 
   test("intersection score matches DuckDB semi-join count") {
     val base = Seq(1L, 2L, 3L, 4L, 5L).toDF("k")
     val f = Seq(2L, 3L, 9L).toDF("fk")
-    val matched = base.select("k").distinct()
-      .join(f.select(col("fk").as("k")).distinct(), Seq("k"), "left_semi")
-      .agg(count("*").as("n"))
-    Oracle.assertEquivalent(matched,
+    val p = JoinExec.prepare(cand("t", f), Some(base.select("k").distinct()))
+    Oracle.assertEquivalent(Seq(p.matchedKeys.get).toDF("n"),
       "SELECT COUNT(*) AS n FROM (SELECT DISTINCT k FROM b WHERE k IN (SELECT fk FROM f))",
       "b" -> base, "f" -> f)
   }
@@ -37,12 +35,13 @@ class JoinPlanSpec extends SparkSpec {
   test("pure soft-key candidates score 1.0") {
     val base = Seq(1.0, 2.0).toDF("t")
     val f = Seq(5.0).toDF("ft")
-    assert(JoinPlan.intersectionScore(base, cand("t", f, "t", "ft", KeyKind.Soft)) == 1.0)
+    assert(JoinPlan.plan(base, Seq(cand("t", f, "t", "ft", KeyKind.Soft))).head.score == 1.0)
   }
 
   test("tuple ratio is base rows over foreign key domain") {
     val f = Seq(1L, 2L, 2L, 3L).toDF("fk") // 3 distinct keys
-    assert(JoinPlan.tupleRatio(12L, cand("t", f)) == 4.0)
+    val base = (1L to 12L).toDF("k")
+    assert(JoinPlan.plan(base, Seq(cand("t", f))).head.tupleRatio == 4.0)
   }
 
   test("trFilter removes candidates with TR >= tau") {

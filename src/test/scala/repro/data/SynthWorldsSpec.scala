@@ -3,6 +3,7 @@ package repro.data
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
+import repro.core.JoinExecSpec.joinOne
 
 class SynthWorldsSpec extends SparkSpec {
 
@@ -59,14 +60,14 @@ class SynthWorldsSpec extends SparkSpec {
 
   test("signal feature correlates with the target after joining") {
     val c = poverty.task.candidates.find(_.name == "census0").get
-    val joined = JoinExec.join(poverty.task.base, c)
+    val joined = joinOne(poverty.task.base, c)
     val corr = joined.stat.corr("census0__sig", "poverty_rate")
     assert(math.abs(corr) > 0.25, s"corr $corr")
   }
 
   test("noise tables do not correlate with the target") {
     val c = poverty.task.candidates.find(_.name == "rnoise0").get
-    val joined = JoinExec.join(poverty.task.base, c)
+    val joined = joinOne(poverty.task.base, c)
     val corr = joined.na.drop.stat.corr("rnoise0__n0", "poverty_rate")
     assert(math.abs(corr) < 0.1, s"corr $corr")
   }
@@ -113,12 +114,12 @@ class SynthWorldsSpec extends SparkSpec {
 
   test("one-to-many signal table has duplicate keys (taxi events)") {
     val events = taxi.task.candidates.find(_.name == "events").get
-    assert(JoinExec.hasDuplicateKeys(events.table, Seq("ts_day")))
+    assert(JoinExec.prepare(events).duplicated)
   }
 
   test("foreign tables have partial coverage producing some nulls") {
     val c = poverty.task.candidates.find(_.name == "census0").get
-    val joined = JoinExec.join(poverty.task.base, c)
+    val joined = joinOne(poverty.task.base, c)
     assert(joined.filter(col("census0__sig").isNull).count() > 0)
   }
 }
