@@ -1,10 +1,10 @@
 package repro.automl
 
-import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression, RandomForestClassifier}
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
+import org.apache.spark.ml.{Predictor, Transformer}
+import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression}
+import org.apache.spark.ml.linalg.Vector
+import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 import repro.ml.Estimator
@@ -24,60 +24,36 @@ object AutoMLLite {
              task: TaskKind, budgetSeconds: Double = 45.0, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
     val (tr0, te0) = Estimator.split(df, seed)
-    val assembler = new VectorAssembler().setInputCols(features.toArray).setOutputCol("__fv")
-    val tr = assembler.transform(tr0.na.fill(0.0, features)).coalesce(4).cache()
-    val te = assembler.transform(te0.na.fill(0.0, features)).coalesce(4).cache()
+    val tr = Estimator.assemble(tr0, features).cache()
+    val te = Estimator.assemble(te0, features).cache()
     tr.count(); te.count()
 
     val deadline = System.nanoTime() + (budgetSeconds * 1e9).toLong
-    val nClasses = task match {
-      case TaskKind.Classification => tr.select(target).distinct().count().toInt
-      case TaskKind.Regression     => 0
-    }
-
-    def candidates: Seq[() => Double] = task match {
+    // Tried in order after the RF grid: two linear models, then GBT.
+    val linearAndGbt: Seq[Predictor[Vector, _, _ <: Transformer]] = task match {
       case TaskKind.Classification =>
-        val rf = for ((t, d) <- Seq((40, 6), (80, 8), (120, 8))) yield { () =>
-          val m = new RandomForestClassifier().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setNumTrees(t).setMaxDepth(d).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          Estimator.accuracy(m.transform(te), target, "__p")
-        }
-        val lr = Seq(0.0, 0.01).map { r => () =>
-          val m = new LogisticRegression().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setRegParam(r).setMaxIter(60).fit(tr)
-          Estimator.accuracy(m.transform(te), target, "__p")
-        }
-        // GBT is binary-only in Spark ML.
-        val gbt = if (nClasses == 2) Seq(15).map { it => () =>
-          val m = new GBTClassifier().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setMaxIter(it).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          Estimator.accuracy(m.transform(te), target, "__p")
-        } else Nil
-        rf ++ lr ++ gbt
+        Seq(0.0, 0.01).map(r => new LogisticRegression().setRegParam(r).setMaxIter(60)) ++
+          // GBT is binary-only in Spark ML.
+          (if (tr.select(target).distinct().count() == 2)
+             Seq(new GBTClassifier().setMaxIter(15).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed))
+           else Nil)
       case TaskKind.Regression =>
-        val rf = for ((t, d) <- Seq((40, 6), (80, 8), (120, 8))) yield { () =>
-          val m = new RandomForestRegressor().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setNumTrees(t).setMaxDepth(d).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          -Estimator.mae(m.transform(te), target, "__p")
-        }
-        val lin = Seq(0.0, 0.01).map { r => () =>
-          val m = new LinearRegression().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setRegParam(r).setMaxIter(60).fit(tr)
-          -Estimator.mae(m.transform(te), target, "__p")
-        }
-        val gbt = Seq(15).map { it => () =>
-          val m = new GBTRegressor().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setMaxIter(it).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          -Estimator.mae(m.transform(te), target, "__p")
-        }
-        rf ++ lin ++ gbt
+        Seq(0.0, 0.01).map(r => new LinearRegression().setRegParam(r).setMaxIter(60)) :+
+          new GBTRegressor().setMaxIter(15).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed)
     }
+    val fits: Seq[() => Transformer] =
+      Seq((40, 6), (80, 8), (120, 8)).map { case (t, d) =>
+        () => Estimator.forest(tr, target, task, t, d, seed)._1
+      } ++ linearAndGbt.map { p => () =>
+        p.setFeaturesCol("__fv"); p.setLabelCol(target); p.setPredictionCol("__p")
+        p.fit(tr)
+      }
 
     var best = Double.MinValue
-    val it = candidates.iterator
+    val it = fits.iterator
     var ran = 0
     while (it.hasNext && (ran == 0 || System.nanoTime() < deadline)) {
-      best = math.max(best, it.next()())
+      best = math.max(best, Estimator.score(task, it.next()().transform(te), target))
       ran += 1
     }
     tr.unpersist(false); te.unpersist(false)

@@ -90,7 +90,7 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     cfg.trTau.map(t => JoinPlan.trFilter(planned, t)).getOrElse(planned)
 
   lazy val batches: Seq[Seq[JoinPlan.PlannedJoin]] =
-    JoinPlan.group(filtered, cfg.grouping, cfg.effectiveBudget)
+    JoinPlan.group(filtered, cfg.grouping, cfg.coresetSize)
 
   /** Fold many candidate joins onto `start`, truncating lineage every few
     * joins — chaining 100+ left joins in one logical plan makes Catalyst
@@ -102,7 +102,7 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     val grans = JoinExec.baseGranularities(start, preps)
     val checkpoints = Seq.newBuilder[DataFrame]
     val joined = preps.zipWithIndex.foldLeft(start) { case (d, (p, i)) =>
-      val j = JoinExec.join(d, p, grans, cfg.softJoin, cfg.softTolerance, cfg.seed)
+      val j = JoinExec.join(d, p, grans, cfg.softJoin, seed = cfg.seed)
       if ((i + 1) % 8 == 0) { val c = j.localCheckpoint(true); checkpoints += c; c } else j
     }
     (joined, checkpoints.result())

@@ -106,11 +106,7 @@ final case class ArdaConfig(
     coresetStrategy: CoresetStrategy = CoresetStrategy.Uniform,
     coresetSize: Int = 1000,
     grouping: GroupingStrategy = GroupingStrategy.BudgetJoin,
-    budget: Option[Int] = None, // default: coreset size
     softJoin: SoftJoinMethod = SoftJoinMethod.TwoWayNearestNeighbour,
-    softTolerance: Option[Double] = None,
     trTau: Option[Double] = None, // Tuple-Ratio prefilter threshold
     seed: Long = 42L,
-) {
-  def effectiveBudget: Int = budget.getOrElse(coresetSize)
-}
+)

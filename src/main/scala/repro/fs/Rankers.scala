@@ -1,9 +1,7 @@
 package repro.fs
 
-import org.apache.spark.ml.classification.{LinearSVC, LogisticRegression, OneVsRest, RandomForestClassifier}
-import org.apache.spark.ml.classification.LinearSVCModel
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.regression.{LinearRegression, RandomForestRegressor}
+import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression, OneVsRest}
+import org.apache.spark.ml.regression.LinearRegression
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -23,46 +21,28 @@ trait Ranker {
 }
 
 object Rankers {
-
-  // coalesce(4): see Estimator.assemble — scheduling beats compute at
-  // coreset scale otherwise.
-  private def assemble(df: DataFrame, features: Seq[String]): DataFrame =
-    new VectorAssembler().setInputCols(features.toArray).setOutputCol("__fv")
-      .transform(df.na.fill(0.0, features)).coalesce(4)
+  import Estimator.assemble
 
   /** Spark-ML Random Forest impurity importances. */
   object RandomForestRanker extends Ranker {
     val name = "random forest"
     def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val a = assemble(df, features)
-      val imp = task match {
-        case TaskKind.Classification =>
-          new RandomForestClassifier().setFeaturesCol("__fv").setLabelCol(target)
-            .setNumTrees(Estimator.FastTrees).setMaxDepth(Estimator.FastDepth).setMaxBins(Estimator.Bins)
-            .setSeed(seed).fit(a).featureImportances
-        case TaskKind.Regression =>
-          new RandomForestRegressor().setFeaturesCol("__fv").setLabelCol(target)
-            .setNumTrees(Estimator.FastTrees).setMaxDepth(Estimator.FastDepth).setMaxBins(Estimator.Bins)
-            .setSeed(seed).fit(a).featureImportances
-      }
-      imp.toArray
-    }
+             task: TaskKind, seed: Long): Array[Double] =
+      Estimator.forest(assemble(df, features), target, task,
+                       Estimator.FastTrees, Estimator.FastDepth, seed)._2.toArray
   }
 
   /** ℓ2,1 sparse regression (Eq. 1) row-norm ranking — the paper's second
     * ensemble member (§6.2). Runs on the collected coreset matrix.
     */
-  final class SparseRegressionRanker(gamma: Double = 0.1,
-                                     robustLabels: Boolean = false) extends Ranker {
+  final class SparseRegressionRanker(gamma: Double = 0.1) extends Ranker {
     val name = "sparse regression"
     def rank(df: DataFrame, features: Seq[String], target: String,
              task: TaskKind, seed: Long): Array[Double] = {
       val local = MatrixOps.collect(df, features, target)
       MatrixOps.standardize(local.x)
       val yMat = SparseRegression.labelMatrix(local.y, task)
-      SparseRegression.solve(local.x, yMat, gamma, robustLabels = robustLabels)
-        .rowNorms.toArray
+      SparseRegression.solve(local.x, yMat, gamma).rowNorms.toArray
     }
   }
 
@@ -151,8 +131,4 @@ object Rankers {
       Relief.weights(local.x, local.y, task, seed = seed).toArray
     }
   }
-
-  val all: Seq[Ranker] = Seq(
-    RandomForestRanker, new SparseRegressionRanker(), LassoRanker, LogisticRanker,
-    LinearSVCRanker, MutualInfoRanker, FTestRanker, ReliefRanker)
 }

@@ -33,16 +33,17 @@ object SparseRegression {
                           objective: Double, iters: Int)
 
   /** Build the label matrix: a column vector for regression, one-hot rows
-    * for classification (labels assumed 0..K−1).
+    * for classification, with one column per distinct label in ascending
+    * order (at least two), so labels need not be 0..K−1.
     */
   def labelMatrix(y: DenseVector[Double], task: TaskKind): DenseMatrix[Double] = task match {
     case TaskKind.Regression =>
       new DenseMatrix(y.length, 1, y.toArray)
     case TaskKind.Classification =>
-      val k = math.max(2, y.toArray.max.toInt + 1)
-      val m = DenseMatrix.zeros[Double](y.length, k)
+      val labels = y.toArray.distinct.sorted
+      val m = DenseMatrix.zeros[Double](y.length, math.max(2, labels.length))
       var i = 0
-      while (i < y.length) { m(i, y(i).toInt) = 1.0; i += 1 }
+      while (i < y.length) { m(i, java.util.Arrays.binarySearch(labels, y(i))) = 1.0; i += 1 }
       m
   }
 

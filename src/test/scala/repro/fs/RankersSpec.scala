@@ -90,5 +90,6 @@ class RankersSpec extends SparkSpec {
   test("rankers return one score per feature") {
     for (r <- Seq[Ranker](Rankers.RandomForestRanker, Rankers.MutualInfoRanker, Rankers.FTestRanker))
       assert(r.rank(cls, feats, "y", TaskKind.Classification, 1L).length == feats.length)
+    assert(Rankers.RandomForestRanker.rank(reg, feats, "y", TaskKind.Regression, 1L).length == feats.length)
   }
 }

@@ -33,6 +33,12 @@ class EstimatorSpec extends SparkSpec {
     assert(Estimator.mae(df, "y", "p") == 1.5)
   }
 
+  test("score is accuracy for classification and −MAE for regression") {
+    val df = Seq((1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (3.0, 0.0)).toDF("y", "__p")
+    assert(Estimator.score(TaskKind.Classification, df, "y") == 0.5)
+    assert(Estimator.score(TaskKind.Regression, df, "y") == -1.0)
+  }
+
   test("classification holdout score is high with a separating feature") {
     val s = Estimator.holdoutScore(clsDf, Seq("sig"), "y", TaskKind.Classification)
     assert(s > 0.9, s"accuracy $s")

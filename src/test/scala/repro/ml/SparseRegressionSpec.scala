@@ -32,6 +32,21 @@ class SparseRegressionSpec extends AnyFunSuite {
     assert(m(0, 1) == 0.0)
   }
 
+  private def rowsSumToOne(m: DenseMatrix[Double]): Boolean =
+    (0 until m.rows).forall(i => (0 until m.cols).map(j => m(i, j)).sum == 1.0)
+
+  test("labelMatrix maps labels {-1, 1} to two columns") {
+    val m = SparseRegression.labelMatrix(DenseVector(1.0, -1.0, 1.0), TaskKind.Classification)
+    assert(m.rows == 3 && m.cols == 2 && rowsSumToOne(m))
+    assert(m(0, 1) == 1.0 && m(1, 0) == 1.0 && m(2, 1) == 1.0)
+  }
+
+  test("labelMatrix maps labels {1, 3} to two columns") {
+    val m = SparseRegression.labelMatrix(DenseVector(3.0, 1.0, 3.0, 1.0), TaskKind.Classification)
+    assert(m.rows == 4 && m.cols == 2 && rowsSumToOne(m))
+    assert(m(0, 1) == 1.0 && m(1, 0) == 1.0 && m(2, 1) == 1.0 && m(3, 0) == 1.0)
+  }
+
   test("l21 norm sums row norms") {
     val m = DenseMatrix((3.0, 4.0), (0.0, 0.0), (5.0, 12.0))
     assert(math.abs(SparseRegression.l21(m) - (5.0 + 0.0 + 13.0)) < 1e-12)
